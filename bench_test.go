@@ -4,7 +4,8 @@
 //	BenchmarkFig5   — Figure 5, small-message submission offloading
 //	BenchmarkFig6   — Figure 6, rendezvous handshake progression
 //	BenchmarkTable1 — Table 1, the convolution meta-application
-//	BenchmarkAblation* — the design-choice ablations from DESIGN.md
+//	BenchmarkAblation* — the design-choice ablations listed in
+//	                     docs/PERF.md, "Evaluation and ablations"
 //
 // Run with:
 //

@@ -1,7 +1,7 @@
 // Command nmbench regenerates the paper's evaluation (§4): Fig. 5 (small
 // message offloading), Fig. 6 (rendezvous progression), Table 1 (the
 // convolution meta-application), and the design ablations listed in
-// DESIGN.md.
+// docs/PERF.md, "Evaluation and ablations".
 //
 // Usage:
 //

@@ -168,6 +168,14 @@ type Engine struct {
 	srv   *piom.Server
 	rails []*nic.Driver
 	strat strategy
+	// stripe is the multirail strategy's data placement, decided once at
+	// construction: rendezvous payloads of at least MultirailMin stripe
+	// across every weighted rail (dataRails, stripeData).
+	stripe bool
+	// selfRail indexes the rail carrying self-addressed traffic: the
+	// shared-memory rail when one is configured, else -1 (rails[0]
+	// serves).
+	selfRail int
 
 	// qlock protects the request queues and matching state. Critical
 	// sections are short (list manipulation only); long operations
@@ -389,6 +397,14 @@ func New(node int, sch *sched.Scheduler, srv *piom.Server, rails []*nic.Driver, 
 		}
 	}
 	e.strat = newStrategy(cfg.Strategy)
+	e.stripe = cfg.Strategy == "multirail"
+	e.selfRail = -1
+	for i, r := range rails {
+		if r.Name() == "shm" {
+			e.selfRail = i
+			break
+		}
+	}
 	e.mtuOf = func(dst int) int { return e.railFor(dst).MTU() }
 	if cfg.Metrics != nil {
 		e.tel = newEngineTelemetry(cfg.Metrics, e, cfg.MetricsPeers)
@@ -466,12 +482,8 @@ func (e *Engine) ForceDataRail(name string) {
 // railFor picks the rail for traffic to dst: self traffic prefers a
 // shared-memory rail when one is configured.
 func (e *Engine) railFor(dst int) *nic.Driver {
-	if dst == e.node {
-		for _, r := range e.rails {
-			if r.Name() == "shm" {
-				return r
-			}
-		}
+	if dst == e.node && e.selfRail >= 0 {
+		return e.rails[e.selfRail]
 	}
 	return e.rails[0]
 }

@@ -492,16 +492,51 @@ func TestMultirailSplitsLargeData(t *testing.T) {
 
 // TestMultirailIsNotFifoAlias pins the bugfix for the strategy table:
 // "multirail" used to resolve to a renamed fifoStrategy, silently running
-// every multirail experiment on FIFO placement. It must resolve to the
-// dedicated implementation, and names the table does not know must stay
-// a hard error rather than degrade to some default.
+// every multirail experiment on FIFO placement. Over two weighted rails a
+// large rendezvous under "fifo" must stay on one rail while "multirail"
+// stripes it across both, and names the table does not know must stay a
+// hard error rather than degrade to some default.
 func TestMultirailIsNotFifoAlias(t *testing.T) {
-	s := newStrategy("multirail")
-	if _, ok := s.(*multirailStrategy); !ok {
-		t.Fatalf("newStrategy(\"multirail\") = %T, want *multirailStrategy", s)
+	rails := func(int) []nic.Params {
+		a := fastRail()
+		a.StripeWeight = 1000
+		b := fastRail()
+		b.Name = "tcp2"
+		b.StripeWeight = 1000
+		return []nic.Params{a, b}
 	}
-	if _, ok := newStrategy("fifo").(*fifoStrategy); !ok {
-		t.Fatal("newStrategy(\"fifo\") is not the fifo implementation")
+	for strat, wantRails := range map[string]int{"fifo": 1, "multirail": 2} {
+		c := newCluster(t, 2, withStrategy(strat), withRails(rails))
+		const size = 512 << 10
+		data := payload(size, 7)
+		buf := make([]byte, size)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			c.run(0, func(th *sched.Thread) {
+				c.Nodes[0].Eng.WaitSend(c.Nodes[0].Eng.Isend(1, 1, data), th)
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			c.run(1, func(th *sched.Thread) {
+				c.Nodes[1].Eng.WaitRecv(c.Nodes[1].Eng.Irecv(0, 1, buf), th)
+			})
+		}()
+		wg.Wait()
+		if !bytes.Equal(buf, data) {
+			t.Fatalf("%s: payload corrupted", strat)
+		}
+		used := 0
+		for _, r := range c.Nodes[0].Eng.rails {
+			if r.Stats().DataBytes > 0 {
+				used++
+			}
+		}
+		if used != wantRails {
+			t.Errorf("%s: rendezvous data went out on %d rails, want %d", strat, used, wantRails)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -1018,14 +1053,15 @@ func TestDecodeAggrCorruption(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	for name, want := range map[string]string{
-		"":          "fifo",
-		"fifo":      "fifo",
-		"aggreg":    "aggreg",
-		"multirail": "multirail",
+	for name, wantAggr := range map[string]bool{
+		"":          false,
+		"fifo":      false,
+		"aggreg":    true,
+		"multirail": false,
 	} {
-		if got := newStrategy(name).Name(); got != want {
-			t.Errorf("newStrategy(%q).Name() = %q, want %q", name, got, want)
+		s := newStrategy(name)
+		if _, aggr := s.(*aggrStrategy); aggr != wantAggr {
+			t.Errorf("newStrategy(%q) is %T, want aggregating = %v", name, s, wantAggr)
 		}
 	}
 }

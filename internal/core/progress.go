@@ -737,7 +737,7 @@ func (e *Engine) sendRdvData(core topo.CoreID, s *SendReq) {
 	}
 	if len(rails) == 1 {
 		ok := true
-		if e.strat.Name() == "multirail" {
+		if e.stripe {
 			// Even a collapsed stripe set (one weighted rail left, or a
 			// ForceDataRail phase) keeps multirail's MTU discipline: a
 			// single frame above the rail MTU is exactly what a real
@@ -868,7 +868,7 @@ func (e *Engine) dataRails(dst, size int) []*nic.Driver {
 			}
 		}
 	}
-	if e.strat.Name() != "multirail" || size < e.cfg.MultirailMin || dst == e.node {
+	if !e.stripe || size < e.cfg.MultirailMin || dst == e.node {
 		return []*nic.Driver{e.railFor(dst)}
 	}
 	var out []*nic.Driver
@@ -897,8 +897,8 @@ func (e *Engine) dataRails(dst, size int) []*nic.Driver {
 		// across the inter-node rails; stripeData treats an all-zero set
 		// as equal weights) instead of silently collapsing the multirail
 		// experiment onto a single rail.
-		for _, r := range e.rails {
-			if r.Name() != "shm" {
+		for i, r := range e.rails {
+			if i != e.selfRail {
 				out = append(out, r)
 			}
 		}

@@ -38,7 +38,6 @@ func putPack(p *pack) {
 // under the engine's qlock and must therefore be allocation-light and
 // non-blocking.
 type strategy interface {
-	Name() string
 	// Enqueue adds a ready eager pack.
 	Enqueue(p *pack)
 	// Head returns the next pack to leave the queue without removing it,
@@ -56,131 +55,69 @@ type strategy interface {
 	Pending() bool
 }
 
-// newStrategy resolves a strategy name ("" defaults to fifo). Every name
-// maps to a dedicated implementation and anything else is a hard error:
-// a misspelled strategy must fail loudly at engine construction, not run
-// the whole experiment on a silently substituted policy.
+// newStrategy resolves a strategy name ("" defaults to fifo). Anything
+// it does not know is a hard error: a misspelled strategy must fail
+// loudly at engine construction, not run the whole experiment on a
+// silently substituted policy. "multirail" queues eager packs in plain
+// post order — small messages do not benefit from splitting, the
+// per-rail handshakes would dominate — and its distinguishing policy,
+// striping rendezvous data across rails, is the engine's (see
+// Engine.stripe).
 func newStrategy(name string) strategy {
 	switch name {
-	case "", "fifo":
+	case "", "fifo", "multirail":
 		return &fifoStrategy{}
-	case "aggreg", "aggregation":
+	case "aggreg":
 		return &aggrStrategy{}
-	case "multirail":
-		return &multirailStrategy{}
 	default:
 		panic(fmt.Sprintf("core: unknown strategy %q", name))
 	}
 }
 
-// fifoStrategy submits packs one at a time in post order. The head
-// index (rather than re-slicing q[1:]) keeps the backing array's
-// capacity across enqueue/dequeue cycles, so a steady request stream
-// recycles one array instead of reallocating per send.
+// fifoStrategy submits packs one at a time in post order.
 type fifoStrategy struct {
-	q    []*pack
-	head int
+	q sync2.Queue[*pack]
 }
 
-// Name identifies the strategy.
-func (s *fifoStrategy) Name() string { return "fifo" }
-
-func (s *fifoStrategy) Enqueue(p *pack) {
-	s.q, s.head = sync2.CompactQueue(s.q, s.head)
-	s.q = append(s.q, p)
-}
-
-func (s *fifoStrategy) Head() *pack {
-	if s.head == len(s.q) {
-		return nil
-	}
-	return s.q[s.head]
-}
+func (s *fifoStrategy) Enqueue(p *pack) { s.q.Push(p) }
+func (s *fifoStrategy) Head() *pack     { return s.q.Head() }
+func (s *fifoStrategy) Pending() bool   { return s.q.Len() > 0 }
 
 func (s *fifoStrategy) Dequeue(mtuOf func(int) int, into []*pack) []*pack {
-	if s.head == len(s.q) {
+	p := s.q.Pop()
+	if p == nil {
 		return nil
-	}
-	p := s.q[s.head]
-	s.q[s.head] = nil // the train owns it now; drop the queue's alias
-	s.head++
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
 	}
 	return append(into[:0], p)
 }
 
-func (s *fifoStrategy) Pending() bool { return s.head < len(s.q) }
-
-// multirailStrategy is the bonded-rails optimizer: eager packs queue in
-// plain post order (small messages do not benefit from splitting — the
-// per-rail handshakes would dominate), while its distinguishing policy
-// lives on the engine's rendezvous data path, keyed off Name(): payloads
-// at or above Config.MultirailMin are striped across every rail with a
-// positive stripe weight, proportionally to those weights, in MTU-sized
-// chunks (Engine.sendRdvData / stripeData). It is a distinct type rather
-// than a renamed fifoStrategy so tests can pin that selecting "multirail"
-// actually engages multirail placement.
-type multirailStrategy struct {
-	fifoStrategy
-}
-
-// Name identifies the strategy; the engine's data-placement path keys off
-// this value.
-func (s *multirailStrategy) Name() string { return "multirail" }
-
 // aggrStrategy coalesces consecutive same-destination packs into one wire
 // packet up to the rail MTU — the data-aggregation optimization of [2].
 // Taking only a contiguous same-destination run preserves global post
-// order, so per-(src,tag) FIFO matching is unaffected.
+// order, so per-(src,tag) FIFO matching is unaffected. It queues like
+// fifoStrategy and differs only in what one Dequeue takes.
 type aggrStrategy struct {
-	q    []*pack
-	head int
-}
-
-func (s *aggrStrategy) Name() string { return "aggreg" }
-
-func (s *aggrStrategy) Enqueue(p *pack) {
-	s.q, s.head = sync2.CompactQueue(s.q, s.head)
-	s.q = append(s.q, p)
-}
-
-func (s *aggrStrategy) Head() *pack {
-	if s.head == len(s.q) {
-		return nil
-	}
-	return s.q[s.head]
+	fifoStrategy
 }
 
 func (s *aggrStrategy) Dequeue(mtuOf func(int) int, into []*pack) []*pack {
-	if s.head == len(s.q) {
+	hd := s.q.Pop()
+	if hd == nil {
 		return nil
 	}
-	hd := s.q[s.head]
 	dst := hd.req.dst
 	budget := mtuOf(dst) - aggrEntryOverhead - len(hd.req.data)
 	train := append(into[:0], hd)
-	s.q[s.head] = nil
-	i := s.head + 1
-	for i < len(s.q) {
-		p := s.q[i]
+	for p := s.q.Head(); p != nil; p = s.q.Head() {
 		need := aggrEntryOverhead + len(p.req.data)
 		if p.req.dst != dst || need > budget {
 			break
 		}
-		train = append(train, p)
-		s.q[i] = nil
+		train = append(train, s.q.Pop())
 		budget -= need
-		i++
-	}
-	s.head = i
-	if s.head == len(s.q) {
-		s.q, s.head = s.q[:0], 0
 	}
 	return train
 }
-
-func (s *aggrStrategy) Pending() bool { return s.head < len(s.q) }
 
 // Aggregated train wire format: repeated entries of
 // [tag int64][seq uint64][len uint64][payload].

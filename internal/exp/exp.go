@@ -1,7 +1,8 @@
 // Package exp is the experiment harness: it regenerates every figure and
 // table of the paper's evaluation (§4) on the simulated testbed, plus the
-// ablations called out in DESIGN.md. The same runners back the testing.B
-// benchmarks in the repository root and the cmd/nmbench executable.
+// ablations listed in docs/PERF.md, "Evaluation and ablations". The same
+// runners back the testing.B benchmarks in the repository root and the
+// cmd/nmbench executable.
 package exp
 
 import (

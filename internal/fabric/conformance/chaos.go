@@ -85,10 +85,10 @@ type ChaosConfig struct {
 
 // Chaos wraps a fabric so its endpoints inject seeded, replayable
 // disorder — drops, duplicates, bit corruption, reordering, latency —
-// into every frame they accept. It is the promotion of the original
-// drop-everything Lossy harness into a composable fault model: Lossy
-// is now just the Drop=1 special case. Reception is untouched, so a
-// wrapped rail stays pollable.
+// into every frame they accept. Drop=1 is the drop-everything harness
+// of the rail-failure cases: every accepted frame is dropped and
+// counted in LostFrames. Reception is untouched, so a wrapped rail
+// stays pollable.
 type Chaos struct {
 	inner fabric.Fabric
 	cfg   ChaosConfig
@@ -100,18 +100,6 @@ type Chaos struct {
 // NewChaos wraps inner with the given fault model.
 func NewChaos(inner fabric.Fabric, cfg ChaosConfig) *Chaos {
 	return &Chaos{inner: inner, cfg: cfg, eps: make(map[int]*chaosEndpoint)}
-}
-
-// Lossy is the drop-everything special case of Chaos, kept under its
-// original name: every frame its endpoints accept is dropped and
-// counted in LostFrames — the loss-injection harness of the
-// rail-failure case.
-type Lossy = Chaos
-
-// NewLossy wraps inner so every accepted frame is dropped and counted;
-// see Lossy.
-func NewLossy(inner fabric.Fabric) *Lossy {
-	return NewChaos(inner, ChaosConfig{Drop: 1})
 }
 
 // Nodes implements fabric.Fabric.

@@ -633,7 +633,7 @@ func runFailover(t *testing.T, open OpenFabric, drop float64, seed int64, msgByt
 
 // RunRailFailover runs the rail-failure cases against the backend. The
 // total-loss case is the original harness: the secondary rail drops
-// every frame it accepts (Chaos with Drop=1, the old Lossy), so the
+// every frame it accepts (Chaos with Drop=1), so the
 // engine must re-stripe everything onto the survivor. The partial-loss
 // case is harsher in a different way: at Drop=0.5 roughly half the
 // secondary's chunks do land, so the receiver ends up holding spans

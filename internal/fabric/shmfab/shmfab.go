@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
-	"pioman/internal/sync2"
 	"pioman/internal/wire"
 )
 
@@ -97,18 +96,13 @@ type Config struct {
 // Endpoint is one process's port on a shared-memory fabric. It implements
 // fabric.Endpoint.
 type Endpoint struct {
-	self, nodes int
-	cfg         Config
+	*fabric.EndpointCore
+	cfg Config
 
 	out []*outRing // producer side, indexed by destination rank; nil at self
 	in  []*inRing  // consumer side, indexed by source rank; nil at self
 
-	seq  atomic.Uint64
-	lost atomic.Uint64 // frames accepted by Send, then abandoned at Close
-
-	state         atomic.Int32 // 0 open, 1 closed
-	drainDeadline atomic.Int64 // unix nanos; set by Close before pumps drain
-	inbox         inbox
+	drainDeadline atomic.Int64   // unix nanos; set by Close before pumps drain
 	wwg           sync.WaitGroup // pump goroutines
 
 	// recvMu serializes the consumer role: ring cursors and frame
@@ -147,66 +141,6 @@ type inRing struct {
 	dead bool   // decoder hit a corrupt frame; ring abandoned
 }
 
-// inbox is the arrival queue shared by ring deliveries and self-sends.
-// The head index (rather than re-slicing pkts[1:]) keeps the backing
-// array's full capacity across push/pop cycles, so steady-state traffic
-// recycles one array instead of reallocating per packet.
-type inbox struct {
-	mu   sync.Mutex
-	pkts []*wire.Packet
-	head int
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-}
-
-// pushRun appends a whole decoded run under one lock acquisition — the
-// producer half of the batched receive path: a scan pass that decoded k
-// frames from one ring visit costs the inbox one lock round trip, not k.
-func (ib *inbox) pushRun(run []*wire.Packet) {
-	if len(run) == 0 {
-		return
-	}
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.PushRun(ib.pkts, ib.head, run)
-	ib.mu.Unlock()
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil // the consumer owns it now; drop the queue's alias
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-// popRun pops up to len(into) queued packets in FIFO order under one
-// lock acquisition — the consumer half of the batched receive path.
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
-}
-
 // ringPath names the ring file carrying src's traffic toward dst.
 func ringPath(dir string, src, dst int) string {
 	return filepath.Join(dir, fmt.Sprintf("ring-%d-to-%d", src, dst))
@@ -233,11 +167,11 @@ func claimRank(dir string, rank int) error {
 // once all rings are mapped; a peer need not have started yet — whoever
 // arrives first creates the pair's files.
 func New(cfg Config) (*Endpoint, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("shmfab: cluster needs at least one node")
-	}
-	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
-		return nil, fmt.Errorf("shmfab: rank %d outside cluster of %d", cfg.Self, cfg.Nodes)
+	// Arrivals appear only when a receiver scans the rings, so nothing
+	// parks on a notify edge.
+	core, err := fabric.NewEndpointCore("shmfab", cfg.Self, cfg.Nodes, fabric.MaxPayloadBytes, false)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("shmfab: Config.Dir is required")
@@ -265,11 +199,10 @@ func New(cfg Config) (*Endpoint, error) {
 		return nil, err
 	}
 	e := &Endpoint{
-		self:  cfg.Self,
-		nodes: cfg.Nodes,
-		cfg:   cfg,
-		out:   make([]*outRing, cfg.Nodes),
-		in:    make([]*inRing, cfg.Nodes),
+		EndpointCore: core,
+		cfg:          cfg,
+		out:          make([]*outRing, cfg.Nodes),
+		in:           make([]*inRing, cfg.Nodes),
 	}
 	deadline := time.Now().Add(cfg.AttachTimeout)
 	for peer := 0; peer < cfg.Nodes; peer++ {
@@ -300,67 +233,13 @@ func New(cfg Config) (*Endpoint, error) {
 	return e, nil
 }
 
-// Self implements fabric.Endpoint.
-func (e *Endpoint) Self() int { return e.self }
-
-// Nodes implements fabric.Endpoint.
-func (e *Endpoint) Nodes() int { return e.nodes }
-
-// NextSeq implements fabric.Endpoint. Sequence numbers only need to be
-// unique per origin endpoint: receivers order per-sender streams.
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: ring occupancy is the transport's
-// own flow control, the submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
-
-// SendCaptures implements fabric.SendCapturer: Send serializes cross-rank
-// packets and copies self-deliveries before returning, so the caller may
-// recycle the packet struct immediately.
-func (e *Endpoint) SendCaptures() bool { return true }
-
-// LostFrames counts frames Send accepted that were later abandoned by
-// Close's bounded drain against a ring whose consumer stopped draining.
-// These cannot surface as Send errors — they fail after Send returned —
-// so a nonzero count here is the loss signal to watch. The count is an
-// upper bound: aborting a partially written batch counts every frame the
-// batch held.
-func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
-
-// MaxPayload implements fabric.PayloadLimiter: the codec's frame ceiling
-// bounds what one Send can carry.
-func (e *Endpoint) MaxPayload() int { return fabric.MaxPayloadBytes }
-
-func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
-
 // Send implements fabric.Endpoint. The frame is serialized before Send
 // returns — the engine may reuse the payload buffer immediately — and is
 // written straight into the ring when it has room, deferred to the pump
 // otherwise. Send never waits on the consumer.
 func (e *Endpoint) Send(p *wire.Packet) error {
-	if e.closed() {
-		return fabric.ErrClosed
-	}
-	if p.Dst < 0 || p.Dst >= e.nodes {
-		return fmt.Errorf("shmfab: send to rank %d outside cluster of %d", p.Dst, e.nodes)
-	}
-	if p.WireLen <= 0 {
-		p.WireLen = len(p.Payload)
-	}
-	// Refuse synchronously what the codec cannot frame; self-delivery
-	// skips the codec but is held to the same limit so a payload does not
-	// pass rank-local testing only to fail on its first cross-rank trip.
-	if len(p.Payload) > fabric.MaxPayloadBytes {
-		return fmt.Errorf("shmfab: %d-byte payload exceeds frame limit %d", len(p.Payload), fabric.MaxPayloadBytes)
-	}
-	if p.Dst == e.self {
-		// Self-delivery skips the ring but not the capture rule: the
-		// engine may reuse the payload buffer the moment Send returns, so
-		// the packet must stop aliasing it before entering the inbox.
-		// The copy lives in pooled storage like any decoded arrival, so
-		// the consumer's ReleasePacket recycles it the same way.
-		e.inbox.push(fabric.CapturePacket(p))
-		return nil
+	if local, err := e.AdmitSend(p); local || err != nil {
+		return err
 	}
 	o := e.out[p.Dst]
 	o.mu.Lock()
@@ -434,9 +313,9 @@ func (e *Endpoint) pumpLoop(o *outRing) {
 			// Drain deadline passed with the consumer stuck: this batch
 			// (possibly partially written) is abandoned, plus whatever
 			// raced into the buffer behind it.
-			e.lost.Add(uint64(n))
+			e.AddLost(n)
 			o.mu.Lock()
-			e.lost.Add(uint64(o.nframes))
+			e.AddLost(o.nframes)
 			o.buf, o.nframes = nil, 0
 			o.pumping = false
 			o.mu.Unlock()
@@ -477,17 +356,17 @@ func (e *Endpoint) pumpBatch(o *outRing, batch []byte) bool {
 // have published, reassembles complete frames into the inbox, and returns
 // the oldest packet, or nil when nothing has fully arrived.
 func (e *Endpoint) Poll() *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
+	if p := e.EndpointCore.Poll(); p != nil {
 		return p
 	}
 	e.recvMu.Lock()
-	if !e.closed() { // after Close the rings are unmapped; inbox only
+	if !e.Closed() { // after Close the rings are unmapped; inbox only
 		e.scanRings()
-		e.inbox.pushRun(e.decRun)
+		e.DeliverRun(e.decRun)
 		e.clearDecRun()
 	}
 	e.recvMu.Unlock()
-	return e.inbox.pop()
+	return e.EndpointCore.Poll()
 }
 
 // PollBatch implements fabric.Endpoint natively: one inbox visit hands
@@ -502,15 +381,15 @@ func (e *Endpoint) Poll() *wire.Packet {
 // the inbox overflow keep that order, and the next drain empties the
 // inbox before scanning again.
 func (e *Endpoint) PollBatch(into []*wire.Packet) int {
-	if n := e.inbox.popRun(into); n > 0 {
+	if n := e.EndpointCore.PollBatch(into); n > 0 {
 		return n
 	}
 	n := 0
 	e.recvMu.Lock()
-	if !e.closed() { // after Close the rings are unmapped; inbox only
+	if !e.Closed() { // after Close the rings are unmapped; inbox only
 		e.scanRings()
 		n = copy(into, e.decRun)
-		e.inbox.pushRun(e.decRun[n:])
+		e.DeliverRun(e.decRun[n:])
 		e.clearDecRun()
 	}
 	e.recvMu.Unlock()
@@ -530,8 +409,8 @@ func (e *Endpoint) PollBatch(into []*wire.Packet) int {
 // spans slots — pump batches, payloads past the slot size — falls back
 // to accumulating the byte stream in ir.dec and re-delimiting there.
 func (e *Endpoint) scanRings() {
-	for i := 0; i < e.nodes; i++ {
-		peer := (e.rr + i) % e.nodes
+	for i := 0; i < e.Nodes(); i++ {
+		peer := (e.rr + i) % e.Nodes()
 		ir := e.in[peer]
 		if ir == nil || ir.dead {
 			continue
@@ -560,7 +439,7 @@ func (e *Endpoint) scanRings() {
 			e.decodeBuffered(ir, peer)
 		}
 	}
-	e.rr = (e.rr + 1) % e.nodes
+	e.rr = (e.rr + 1) % e.Nodes()
 }
 
 // decodeStream decodes every complete frame at the head of buf into the
@@ -643,15 +522,15 @@ func (e *Endpoint) clearDecRun() {
 // weaker Pending semantics the fabric.Endpoint contract documents for
 // real transports.
 func (e *Endpoint) Pending() bool {
-	if !e.inbox.empty() {
+	if e.EndpointCore.Pending() {
 		return true
 	}
-	if e.closed() {
+	if e.Closed() {
 		return false
 	}
 	e.recvMu.Lock()
 	defer e.recvMu.Unlock()
-	if e.closed() {
+	if e.Closed() {
 		return false
 	}
 	for _, ir := range e.in {
@@ -673,7 +552,7 @@ func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 		if p := e.Poll(); p != nil {
 			return p
 		}
-		if e.closed() {
+		if e.Closed() {
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -690,7 +569,7 @@ func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
 // already decoded into the inbox remain pollable; slots never consumed
 // are dropped, like bytes on a closed socket. Idempotent.
 func (e *Endpoint) Close() error {
-	if !e.state.CompareAndSwap(0, 1) {
+	if !e.BeginClose() {
 		return nil
 	}
 	e.drainDeadline.Store(time.Now().Add(closeDrainTimeout).UnixNano())
@@ -716,6 +595,7 @@ func (e *Endpoint) Close() error {
 	}
 	e.unmapAll()
 	e.recvMu.Unlock()
+	e.EndClose()
 	return nil
 }
 
@@ -724,7 +604,7 @@ func (e *Endpoint) Close() error {
 // mismatch) is not misreported as a duplicate rank.
 func (e *Endpoint) abortNew() {
 	e.unmapAll()
-	os.Remove(filepath.Join(e.cfg.Dir, fmt.Sprintf("rank-%d.claim", e.self)))
+	os.Remove(filepath.Join(e.cfg.Dir, fmt.Sprintf("rank-%d.claim", e.Self())))
 }
 
 // unmapAll releases every ring mapping (construction-failure and Close

@@ -1,59 +1,15 @@
 package tcpfab
 
-import (
-	"fmt"
-
-	"pioman/internal/fabric"
-)
+import "pioman/internal/fabric"
 
 // Local is a fabric.Fabric spanning n in-process endpoints that still talk
-// through real localhost TCP sockets — the tcoin-style "many real nodes on
-// ephemeral ports inside one go test" setup. It exists for tests, benches
-// and in-process worlds; distributed deployments build one Endpoint per
-// process with New instead.
-type Local struct {
-	eps []*Endpoint
-}
+// through real localhost TCP sockets (see fabric.Loopback).
+type Local = fabric.Loopback
 
 // NewLocal binds n endpoints on ephemeral localhost ports and teaches each
 // every peer's actual address.
 func NewLocal(n int) (*Local, error) {
-	l := &Local{eps: make([]*Endpoint, n)}
-	for i := range l.eps {
-		ep, err := New(Config{Self: i, Nodes: n, Listen: "127.0.0.1:0"})
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		l.eps[i] = ep
-	}
-	for i, e := range l.eps {
-		for j, f := range l.eps {
-			if i != j {
-				e.SetPeerAddr(j, f.Addr().String())
-			}
-		}
-	}
-	return l, nil
-}
-
-// Nodes implements fabric.Fabric.
-func (l *Local) Nodes() int { return len(l.eps) }
-
-// Endpoint implements fabric.Fabric.
-func (l *Local) Endpoint(rank int) (fabric.Endpoint, error) {
-	if rank < 0 || rank >= len(l.eps) {
-		return nil, fmt.Errorf("tcpfab: rank %d outside local fabric of %d", rank, len(l.eps))
-	}
-	return l.eps[rank], nil
-}
-
-// Close implements fabric.Fabric.
-func (l *Local) Close() error {
-	for _, e := range l.eps {
-		if e != nil {
-			e.Close()
-		}
-	}
-	return nil
+	return fabric.NewLoopback("tcpfab", n, func(rank int) (*Endpoint, error) {
+		return New(Config{Self: rank, Nodes: n, Listen: "127.0.0.1:0"})
+	})
 }

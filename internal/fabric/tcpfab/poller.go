@@ -407,7 +407,7 @@ func (pl *poller) read(c *conn, run []*wire.Packet) []*wire.Packet {
 	run = run[:0]
 	deliver := func() {
 		if len(run) > 0 {
-			e.inbox.pushRun(run)
+			e.DeliverRun(run)
 			for i := range run {
 				run[i] = nil
 			}
@@ -543,7 +543,7 @@ func (pl *poller) fail(c *conn) {
 	c.wbuf, c.wends, c.wn, c.woff = nil, nil, 0, 0
 	c.iomu.Unlock()
 	if lostN > 0 {
-		c.e.lost.Add(uint64(lostN))
+		c.e.AddLost(lostN)
 	}
 	pl.teardown(c, sal)
 }
@@ -584,10 +584,10 @@ func (pl *poller) teardown(c *conn, sal stash) {
 	}
 	delete(e.conns, c)
 	if sal.n+tail.n > 0 {
-		if e.closed() {
+		if e.Closed() {
 			// Close's stash sweep may already have run; count the
 			// stranded frames as lost directly.
-			e.lost.Add(uint64(sal.n + tail.n))
+			e.AddLost(sal.n + tail.n)
 		} else {
 			var merged stash
 			appendFrames(&merged, sal)

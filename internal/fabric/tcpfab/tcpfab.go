@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"pioman/internal/fabric"
-	"pioman/internal/sync2"
 	"pioman/internal/telemetry"
 	"pioman/internal/wire"
 )
@@ -121,7 +120,7 @@ type Config struct {
 
 // Endpoint is one process's port on a TCP fabric.
 type Endpoint struct {
-	self, nodes int
+	*fabric.EndpointCore
 
 	ln net.Listener
 
@@ -136,12 +135,7 @@ type Endpoint struct {
 	pool        *pollerPool
 	idleTimeout time.Duration
 
-	seq   atomic.Uint64
-	lost  atomic.Uint64 // frames accepted by Send, then lost with a stream
-	state atomic.Int32  // 0 open, 1 closed
-	done  chan struct{} // closed on Close; wakes every blocked receiver
-	inbox inbox
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 
 	// Poller/connection accounting, surfaced via RegisterMetrics.
 	nPollers      atomic.Int64
@@ -155,8 +149,12 @@ type Endpoint struct {
 // before they were written. The frame end offsets let a later failure
 // split the run at a write boundary again. A stash primes the next
 // stream adopted toward its peer, so the frames go out ahead of any new
-// traffic; only an endpoint that closes with the stash unconsumed
-// abandons it (counted in LostFrames by Close).
+// traffic, so a transient failure with a successful redial is
+// loss-free; only an endpoint that closes with the stash unconsumed
+// abandons it (counted in LostFrames by Close). The other frames
+// LostFrames counts are the already-written prefix of a failed flush
+// batch: those bytes may or may not have reached the peer, and resending
+// could duplicate them, so they can only be written off.
 type stash struct {
 	buf  []byte
 	ends []int // end offset of each frame in buf, ascending
@@ -177,87 +175,13 @@ func appendFrames(dst *stash, src stash) {
 	dst.n += src.n
 }
 
-// inbox is the arrival queue: FIFO, one notify edge for blocking
-// receivers. The head index (rather than re-slicing pkts[1:]) keeps the
-// backing array's full capacity across push/pop cycles, so a steady
-// stream of packets recycles one array instead of reallocating — part
-// of the allocation-free receive path.
-type inbox struct {
-	mu     sync.Mutex
-	pkts   []*wire.Packet
-	head   int
-	notify chan struct{}
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-// pushRun appends a whole decoded run under one lock acquisition and
-// fires a single notify edge for it — the producer half of the batched
-// receive path: a poller that decoded k frames from one socket visit
-// costs the inbox one lock round trip and wakes blocked receivers once,
-// not k times.
-func (ib *inbox) pushRun(run []*wire.Packet) {
-	if len(run) == 0 {
-		return
-	}
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.PushRun(ib.pkts, ib.head, run)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-// popRun pops up to len(into) queued packets in FIFO order under one
-// lock acquisition — the consumer half of the batched receive path.
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil // the consumer owns it now; drop the queue's alias
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
-}
-
 // New opens an endpoint per cfg. If cfg.Listen is set the returned
 // endpoint is already accepting; its actual address (useful with port 0)
 // is Addr().
 func New(cfg Config) (*Endpoint, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("tcpfab: cluster needs at least one node")
-	}
-	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
-		return nil, fmt.Errorf("tcpfab: rank %d outside cluster of %d", cfg.Self, cfg.Nodes)
+	core, err := fabric.NewEndpointCore("tcpfab", cfg.Self, cfg.Nodes, fabric.MaxPayloadBytes, true)
+	if err != nil {
+		return nil, err
 	}
 	np := cfg.Pollers
 	if np <= 0 {
@@ -270,17 +194,14 @@ func New(cfg Config) (*Endpoint, error) {
 		np = 1
 	}
 	e := &Endpoint{
-		self:        cfg.Self,
-		nodes:       cfg.Nodes,
-		peers:       make(map[int]string, len(cfg.Peers)),
-		out:         make(map[int]*conn),
-		dialing:     make(map[int]chan struct{}),
-		open:        make(map[net.Conn]struct{}),
-		conns:       make(map[*conn]struct{}),
-		stash:       make(map[int]stash),
-		idleTimeout: cfg.IdleTimeout,
-		done:        make(chan struct{}),
-		inbox:       inbox{notify: make(chan struct{}, 1)},
+		EndpointCore: core,
+		peers:        make(map[int]string, len(cfg.Peers)),
+		out:          make(map[int]*conn),
+		dialing:      make(map[int]chan struct{}),
+		open:         make(map[net.Conn]struct{}),
+		conns:        make(map[*conn]struct{}),
+		stash:        make(map[int]stash),
+		idleTimeout:  cfg.IdleTimeout,
 	}
 	e.pool = newPollerPool(e, np)
 	for r, a := range cfg.Peers {
@@ -314,112 +235,25 @@ func (e *Endpoint) SetPeerAddr(rank int, addr string) {
 	e.mu.Unlock()
 }
 
-// Self implements fabric.Endpoint.
-func (e *Endpoint) Self() int { return e.self }
-
-// Nodes implements fabric.Endpoint.
-func (e *Endpoint) Nodes() int { return e.nodes }
-
-// NextSeq implements fabric.Endpoint. Sequence numbers only need to be
-// unique per origin endpoint: receivers order per-sender streams.
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: TCP runs its own flow control, the
-// submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
-
-// SendCaptures implements fabric.SendCapturer: Send serializes cross-rank
-// packets (enqueue) and copies self-deliveries before returning, so the
-// caller may recycle the packet struct immediately.
-func (e *Endpoint) SendCaptures() bool { return true }
-
-// Pending implements fabric.Endpoint. Only packets already decoded into
-// the inbox count: bytes still in a socket buffer or mid-decode in a
-// poller are invisible here — the weaker Pending semantics the
-// fabric.Endpoint contract documents for real transports. The pollers
-// push such packets and fire the notify edge on their own, so a
-// BlockingRecv waiter wakes regardless of what Pending reported.
-func (e *Endpoint) Pending() bool { return !e.inbox.empty() }
-
-// Poll implements fabric.Endpoint.
-func (e *Endpoint) Poll() *wire.Packet { return e.inbox.pop() }
-
-// PollBatch implements fabric.Endpoint natively: the inbox hands out a
-// FIFO run of decoded packets under one lock acquisition. Per-sender
-// order is preserved — each peer's frames enter the inbox in stream
-// order and the run pops in queue order.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.popRun(into) }
-
-// BlockingRecv implements fabric.Endpoint. The deadline timer is drawn
-// from a pool and armed once for the whole wait, so a blocking receive
-// allocates nothing — spurious notify wakeups just re-poll while the
-// timer keeps running toward the deadline.
-func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
-		return p
-	}
-	t := sync2.GetTimer(timeout)
-	fired := false
-	defer func() { sync2.PutTimer(t, fired) }()
-	for {
-		if p := e.inbox.pop(); p != nil {
-			return p
-		}
-		if e.closed() {
-			return nil
-		}
-		select {
-		case <-e.inbox.notify:
-		case <-e.done:
-		case <-t.C:
-			fired = true
-			return e.inbox.pop()
-		}
-	}
-}
-
 // Dial eagerly establishes the connection toward rank, which Send would
 // otherwise create lazily. Use it to fail fast on a bad address instead
 // of discovering it one dropped packet at a time.
 func (e *Endpoint) Dial(rank int) error {
-	if e.closed() {
+	if e.Closed() {
 		return fabric.ErrClosed
 	}
-	if rank == e.self {
+	if rank == e.Self() {
 		return nil
 	}
 	_, err := e.connTo(rank)
 	return err
 }
 
-// Send implements fabric.Endpoint.
+// Send implements fabric.Endpoint: cross-rank packets are serialized
+// onto the peer's stream (enqueue) before Send returns.
 func (e *Endpoint) Send(p *wire.Packet) error {
-	if e.closed() {
-		return fabric.ErrClosed
-	}
-	if p.Dst < 0 || p.Dst >= e.nodes {
-		return fmt.Errorf("tcpfab: send to rank %d outside cluster of %d", p.Dst, e.nodes)
-	}
-	if p.WireLen <= 0 {
-		p.WireLen = len(p.Payload)
-	}
-	// Refuse here, synchronously, what the codec cannot frame: detected
-	// any later, the poller could only treat it as a stream failure and
-	// kill a healthy connection. Self-delivery skips the codec but is
-	// held to the same limit, so a payload does not pass rank-local
-	// testing only to fail on its first cross-rank trip.
-	if len(p.Payload) > fabric.MaxPayloadBytes {
-		return fmt.Errorf("tcpfab: %d-byte payload exceeds frame limit %d", len(p.Payload), fabric.MaxPayloadBytes)
-	}
-	if p.Dst == e.self {
-		// Self-delivery skips the codec but not the capture rule: the
-		// engine may reuse the payload buffer the moment Send returns, so
-		// the packet must stop aliasing it before entering the inbox —
-		// cross-rank sends capture by serializing in enqueue. The copy
-		// lives in pooled storage like any decoded arrival, so the
-		// consumer's ReleasePacket recycles it the same way.
-		e.inbox.push(fabric.CapturePacket(p))
-		return nil
+	if local, err := e.AdmitSend(p); local || err != nil {
+		return err
 	}
 	for {
 		c, err := e.connTo(p.Dst)
@@ -446,7 +280,7 @@ func (e *Endpoint) connTo(rank int) (*conn, error) {
 		// Close sets state before taking mu, so a sender that raced
 		// past Send's entry check cannot dial and register a connection
 		// after Close has torn down.
-		if e.closed() {
+		if e.Closed() {
 			e.mu.Unlock()
 			return nil, fabric.ErrClosed
 		}
@@ -477,7 +311,7 @@ func (e *Endpoint) connTo(rank int) (*conn, error) {
 			e.mu.Unlock()
 			return nil, fmt.Errorf("tcpfab: dial rank %d at %s: %w", rank, addr, err)
 		}
-		if e.closed() {
+		if e.Closed() {
 			e.mu.Unlock()
 			nc.Close()
 			return nil, fabric.ErrClosed
@@ -514,17 +348,17 @@ func (e *Endpoint) dialWithBackoff(addr string) (net.Conn, error) {
 	for {
 		c, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
-			err = writeHandshake(c, e.self, e.nodes)
+			err = writeHandshake(c, e.Self(), e.Nodes())
 			if err == nil {
 				return c, nil
 			}
 			c.Close()
 		}
-		if e.closed() || time.Now().After(deadline) {
+		if e.Closed() || time.Now().After(deadline) {
 			return nil, err
 		}
 		select {
-		case <-e.done:
+		case <-e.Done():
 			return nil, err
 		case <-time.After(backoff):
 		}
@@ -600,8 +434,8 @@ func (e *Endpoint) unregisterUnpolled(c *conn) {
 	}
 	delete(e.conns, c)
 	if tail.n > 0 {
-		if e.closed() {
-			e.lost.Add(uint64(tail.n))
+		if e.Closed() {
+			e.AddLost(tail.n)
 		} else {
 			var merged stash
 			appendFrames(&merged, e.stash[c.rank])
@@ -626,7 +460,7 @@ func (e *Endpoint) acceptLoop() {
 			return // listener closed
 		}
 		e.mu.Lock()
-		if e.state.Load() != 0 {
+		if e.Closed() {
 			e.mu.Unlock()
 			c.Close()
 			return
@@ -643,7 +477,7 @@ func (e *Endpoint) acceptLoop() {
 func (e *Endpoint) serveConn(nc net.Conn) {
 	defer e.wg.Done()
 	rank, nodes, err := readHandshake(nc)
-	if err != nil || nodes != e.nodes || rank < 0 || rank >= e.nodes || rank == e.self {
+	if err != nil || nodes != e.Nodes() || rank < 0 || rank >= e.Nodes() || rank == e.Self() {
 		e.mu.Lock()
 		delete(e.open, nc)
 		e.mu.Unlock()
@@ -652,7 +486,7 @@ func (e *Endpoint) serveConn(nc net.Conn) {
 	}
 	e.mu.Lock()
 	delete(e.open, nc)
-	if e.closed() {
+	if e.Closed() {
 		e.mu.Unlock()
 		nc.Close()
 		return
@@ -666,20 +500,6 @@ func (e *Endpoint) serveConn(nc net.Conn) {
 		e.unregisterUnpolled(c)
 	}
 }
-
-// LostFrames counts frames Send accepted that were later abandoned: the
-// already-written prefix of a failed flush batch (those bytes may or
-// may not have reached the peer — re-sending could duplicate, so they
-// can only be written off), plus any failure stash still unconsumed
-// when Close runs. Frames a stream failure left guaranteed-undelivered
-// are NOT counted here while the endpoint is open: they are stashed and
-// re-sent on the redialed stream, so a transient failure with a
-// successful redial is loss-free. The transport cannot return any of
-// this as Send errors — it fails after Send has returned — so a nonzero
-// count here is the loss signal operators should watch. Writes racing a
-// stream failure may be counted even if their bytes made it out: the
-// count is an upper bound on loss, never an undercount.
-func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
 
 // KillConn forcibly fails the established stream toward rank, if one
 // exists, and reports whether it did. It simulates an abrupt connection
@@ -697,10 +517,6 @@ func (e *Endpoint) KillConn(rank int) bool {
 	c.pl.kill(c)
 	return true
 }
-
-// MaxPayload implements fabric.PayloadLimiter: the codec's frame ceiling
-// bounds what one Send can carry.
-func (e *Endpoint) MaxPayload() int { return fabric.MaxPayloadBytes }
 
 // Pollers reports how many event-loop goroutines are currently running.
 // Pollers start lazily and exit on Close, so this is also the endpoint's
@@ -725,8 +541,6 @@ func (e *Endpoint) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterCounter(prefix+".reaped_idle", "connections reaped by the idle timeout", e.reaped.Load)
 }
 
-func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
-
 // Close implements fabric.Endpoint: stop accepting, ask every stream to
 // finish its queue and poll the flush progress (the pollers keep
 // writing) so frames sent before Close still reach their peers (bounded
@@ -735,7 +549,7 @@ func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
 // and wait for every goroutine. Packets already received remain
 // pollable. Idempotent.
 func (e *Endpoint) Close() error {
-	if !e.state.CompareAndSwap(0, 1) {
+	if !e.BeginClose() {
 		return nil
 	}
 	if e.ln != nil {
@@ -765,13 +579,13 @@ func (e *Endpoint) Close() error {
 		time.Sleep(500 * time.Microsecond)
 	}
 	e.pool.stop()
-	close(e.done)
+	e.EndClose()
 	e.wg.Wait()
 	// Stashes that never met a successful redial are abandoned now: no
 	// poller is left to bank more, so the count is final.
 	e.mu.Lock()
 	for r, s := range e.stash {
-		e.lost.Add(uint64(s.n))
+		e.AddLost(s.n)
 		delete(e.stash, r)
 	}
 	e.mu.Unlock()

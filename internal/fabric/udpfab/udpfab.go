@@ -35,12 +35,10 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pioman/internal/fabric"
 	"pioman/internal/fabric/bufpool"
-	"pioman/internal/sync2"
 	"pioman/internal/telemetry"
 	"pioman/internal/wire"
 )
@@ -198,7 +196,7 @@ type peerState struct {
 
 // Endpoint is one process's port on a UDP fabric.
 type Endpoint struct {
-	self, nodes int
+	*fabric.EndpointCore
 	window      int
 	rto, rtoMax time.Duration
 
@@ -209,12 +207,7 @@ type Endpoint struct {
 	peers     []*peerState // indexed by rank, created on first contact
 	peerAddrs map[int]string
 
-	seq   atomic.Uint64
-	lost  atomic.Uint64
-	state atomic.Int32  // 0 open, 1 closed
-	done  chan struct{} // closed on Close; wakes receivers, stops the timer
-	inbox inbox
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 
 	chaos *chaosState
 
@@ -229,65 +222,13 @@ type Endpoint struct {
 	badAcks      telemetry.Counter
 }
 
-// inbox is the arrival queue: FIFO, one notify edge for blocking
-// receivers — the same shape as tcpfab's (the head index keeps the
-// backing array's capacity across push/pop cycles).
-type inbox struct {
-	mu     sync.Mutex
-	pkts   []*wire.Packet
-	head   int
-	notify chan struct{}
-}
-
-func (ib *inbox) push(p *wire.Packet) {
-	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
-	ib.pkts = append(ib.pkts, p)
-	ib.mu.Unlock()
-	select {
-	case ib.notify <- struct{}{}:
-	default:
-	}
-}
-
-func (ib *inbox) pop() *wire.Packet {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
-		return nil
-	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
-}
-
-func (ib *inbox) popRun(into []*wire.Packet) int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	var n int
-	ib.pkts, ib.head, n = sync2.PopRun(ib.pkts, ib.head, into)
-	return n
-}
-
-func (ib *inbox) empty() bool {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.head == len(ib.pkts)
-}
-
 // New opens an endpoint per cfg, binds its socket and starts its reader
 // and retransmit timer. The actual bound address (useful with port 0)
 // is Addr().
 func New(cfg Config) (*Endpoint, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("udpfab: cluster needs at least one node")
-	}
-	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
-		return nil, fmt.Errorf("udpfab: rank %d outside cluster of %d", cfg.Self, cfg.Nodes)
+	core, err := fabric.NewEndpointCore("udpfab", cfg.Self, cfg.Nodes, maxPayloadBytes, true)
+	if err != nil {
+		return nil, err
 	}
 	listen := cfg.Listen
 	if listen == "" {
@@ -302,16 +243,13 @@ func New(cfg Config) (*Endpoint, error) {
 		return nil, fmt.Errorf("udpfab: listen %s: %w", listen, err)
 	}
 	e := &Endpoint{
-		self:      cfg.Self,
-		nodes:     cfg.Nodes,
-		window:    cfg.Window,
-		rto:       cfg.RTO,
-		rtoMax:    cfg.RTOMax,
-		conn:      conn,
-		peers:     make([]*peerState, cfg.Nodes),
-		peerAddrs: make(map[int]string, len(cfg.Peers)),
-		done:      make(chan struct{}),
-		inbox:     inbox{notify: make(chan struct{}, 1)},
+		EndpointCore: core,
+		window:       cfg.Window,
+		rto:          cfg.RTO,
+		rtoMax:       cfg.RTOMax,
+		conn:         conn,
+		peers:        make([]*peerState, cfg.Nodes),
+		peerAddrs:    make(map[int]string, len(cfg.Peers)),
 	}
 	if e.window <= 0 {
 		e.window = defaultWindow
@@ -361,92 +299,14 @@ func (e *Endpoint) SetPeerAddr(rank int, addr string) {
 	e.mu.Unlock()
 }
 
-// Self implements fabric.Endpoint.
-func (e *Endpoint) Self() int { return e.self }
-
-// Nodes implements fabric.Endpoint.
-func (e *Endpoint) Nodes() int { return e.nodes }
-
-// NextSeq implements fabric.Endpoint. (These engine-level sequence
-// numbers are unrelated to the reliability sublayer's per-peer datagram
-// sequences.)
-func (e *Endpoint) NextSeq() uint64 { return e.seq.Add(1) }
-
-// Backlog implements fabric.Endpoint: the sublayer runs its own window,
-// the submission gate is always open.
-func (e *Endpoint) Backlog(int) time.Duration { return 0 }
-
-// SendCaptures implements fabric.SendCapturer: Send serializes
-// cross-rank packets into their datagram and copies self-deliveries
-// before returning.
-func (e *Endpoint) SendCaptures() bool { return true }
-
-// MaxPayload implements fabric.PayloadLimiter: one packet must fit one
-// datagram after the reliability header and codec framing.
-func (e *Endpoint) MaxPayload() int { return maxPayloadBytes }
-
-// LostFrames implements fabric.LossCounter: frames accepted by Send and
-// abandoned unacknowledged by Close's bounded drain.
-func (e *Endpoint) LostFrames() uint64 { return e.lost.Load() }
-
-// Pending implements fabric.Endpoint: only datagrams already delivered
-// into the inbox count, the weaker real-transport semantics.
-func (e *Endpoint) Pending() bool { return !e.inbox.empty() }
-
-// Poll implements fabric.Endpoint.
-func (e *Endpoint) Poll() *wire.Packet { return e.inbox.pop() }
-
-// PollBatch implements fabric.Endpoint natively: one inbox lock round
-// trip hands out a FIFO run of delivered packets.
-func (e *Endpoint) PollBatch(into []*wire.Packet) int { return e.inbox.popRun(into) }
-
-// BlockingRecv implements fabric.Endpoint: a pooled timer armed once for
-// the whole wait, re-polling on notify edges.
-func (e *Endpoint) BlockingRecv(timeout time.Duration) *wire.Packet {
-	if p := e.inbox.pop(); p != nil {
-		return p
-	}
-	t := sync2.GetTimer(timeout)
-	fired := false
-	defer func() { sync2.PutTimer(t, fired) }()
-	for {
-		if p := e.inbox.pop(); p != nil {
-			return p
-		}
-		if e.closed() {
-			return nil
-		}
-		select {
-		case <-e.inbox.notify:
-		case <-e.done:
-		case <-t.C:
-			fired = true
-			return e.inbox.pop()
-		}
-	}
-}
-
 // Send implements fabric.Endpoint: the packet is serialized into one
 // sealed datagram before return (payload captured), entered into the
 // peer's retransmit window — or its overflow queue when the window is
 // full, so Send never blocks — and transmitted. Delivery is then the
 // retransmit machinery's business until the peer acks.
 func (e *Endpoint) Send(p *wire.Packet) error {
-	if e.closed() {
-		return fabric.ErrClosed
-	}
-	if p.Dst < 0 || p.Dst >= e.nodes {
-		return fmt.Errorf("udpfab: send to rank %d outside cluster of %d", p.Dst, e.nodes)
-	}
-	if p.WireLen <= 0 {
-		p.WireLen = len(p.Payload)
-	}
-	if len(p.Payload) > maxPayloadBytes {
-		return fmt.Errorf("udpfab: %d-byte payload exceeds datagram frame limit %d", len(p.Payload), maxPayloadBytes)
-	}
-	if p.Dst == e.self {
-		e.inbox.push(fabric.CapturePacket(p))
-		return nil
+	if local, err := e.AdmitSend(p); local || err != nil {
+		return err
 	}
 	// Serialize outside the lock: the window bookkeeping is the only
 	// contended part.
@@ -457,7 +317,7 @@ func (e *Endpoint) Send(p *wire.Packet) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed() {
+	if e.Closed() {
 		// Racing Close: the drain snapshot may already have run.
 		bufpool.Put(buf)
 		return fabric.ErrClosed
@@ -524,7 +384,7 @@ func (e *Endpoint) resolveLocked(ps *peerState) error {
 func (e *Endpoint) transmitLocked(ps *peerState, f *outFrame) {
 	h := dgHeader{
 		dtype:      dgData,
-		src:        e.self,
+		src:        e.Self(),
 		session:    e.session,
 		seq:        f.seq,
 		base:       ps.txBase,
@@ -549,7 +409,7 @@ func (e *Endpoint) sendAckLocked(ps *peerState) {
 	var b [dgHeaderBytes]byte
 	h := dgHeader{
 		dtype:      dgAck,
-		src:        e.self,
+		src:        e.Self(),
 		session:    e.session,
 		base:       ps.txBase,
 		ackSession: ps.rxSess,
@@ -606,7 +466,7 @@ func (e *Endpoint) readLoop() {
 // nothing else.
 func (e *Endpoint) handleDatagram(b []byte, from netip.AddrPort) {
 	var h dgHeader
-	if !parseDatagram(b, e.self, e.nodes, &h) {
+	if !parseDatagram(b, e.Self(), e.Nodes(), &h) {
 		e.rejected.Add(1)
 		return
 	}
@@ -691,7 +551,7 @@ func (e *Endpoint) handleDatagram(b []byte, from netip.AddrPort) {
 	}
 	e.mu.Unlock()
 	if deliver != nil {
-		e.inbox.push(deliver)
+		e.Deliver(deliver)
 	}
 }
 
@@ -748,7 +608,7 @@ func (e *Endpoint) observeRTTLocked(ps *peerState, rtt time.Duration) {
 func (e *Endpoint) PeerRTO(rank int) time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
+	if rank < 0 || rank >= e.Nodes() || e.peers[rank] == nil {
 		return e.rto
 	}
 	return e.rtoLocked(e.peers[rank])
@@ -771,7 +631,7 @@ func (e *Endpoint) cwndFloor() int {
 func (e *Endpoint) PeerWindow(rank int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if rank < 0 || rank >= e.nodes || e.peers[rank] == nil {
+	if rank < 0 || rank >= e.Nodes() || e.peers[rank] == nil {
 		return e.window
 	}
 	return e.peers[rank].cwnd
@@ -841,7 +701,7 @@ func (e *Endpoint) tickLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-e.done:
+		case <-e.Done():
 			return
 		case <-t.C:
 		}
@@ -914,8 +774,6 @@ func (e *Endpoint) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	})
 }
 
-func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
-
 // Close implements fabric.Endpoint: refuse new sends, let the
 // retransmit machinery drain accepted frames toward still-acking peers
 // (bounded overall, and cut short when no ack progress is being made at
@@ -923,7 +781,7 @@ func (e *Endpoint) closed() bool { return e.state.Load() != 0 }
 // timer, close the socket and wake every blocked receiver. Packets
 // already received remain pollable. Idempotent.
 func (e *Endpoint) Close() error {
-	if !e.state.CompareAndSwap(0, 1) {
+	if !e.BeginClose() {
 		return nil
 	}
 	deadline := time.Now().Add(closeDrainTimeout)
@@ -965,18 +823,18 @@ func (e *Endpoint) Close() error {
 		}
 		for s, f := range ps.flight {
 			delete(ps.flight, s)
-			e.lost.Add(1)
+			e.AddLost(1)
 			bufpool.Put(f.buf)
 		}
 		for i, f := range ps.pending {
 			ps.pending[i] = nil
-			e.lost.Add(1)
+			e.AddLost(1)
 			bufpool.Put(f.buf)
 		}
 		ps.pending = nil
 	}
 	e.mu.Unlock()
-	close(e.done)
+	e.EndClose()
 	e.conn.Close()
 	e.wg.Wait()
 	return nil

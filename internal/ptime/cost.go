@@ -5,8 +5,9 @@ import "time"
 // CostModel converts data sizes into CPU time for the host-side operations
 // the paper discusses: memory copies into registered buffers, PIO
 // programmed-I/O transfers, and fixed per-operation overheads. All values
-// default to the MYRI-10G-era constants listed in DESIGN.md §3.1 but are
-// configurable so that ablation benchmarks can explore other regimes.
+// default to the MYRI-10G-era constants listed in docs/PERF.md
+// ("Evaluation and ablations") but are configurable so that ablation
+// benchmarks can explore other regimes.
 type CostModel struct {
 	// CopyBytesPerUS is the host memcpy throughput in bytes per
 	// microsecond (2.5 GB/s ≈ 2500 B/µs).

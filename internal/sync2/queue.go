@@ -1,53 +1,92 @@
 package sync2
 
-// CompactQueue reclaims the consumed prefix of a head-indexed FIFO —
-// the queue shape the transports' inboxes and the optimizer's waiting
-// lists share: push appends, pop nils q[head] and advances head, and
-// the slice resets only when the queue fully drains. Under sustained
-// backlog that reset never fires and the dead prefix would otherwise
-// ride along through every append-reallocation, growing memory with
-// total throughput instead of live depth. Call it before appending
-// (under the queue's lock); it slides the live tail down once the dead
-// prefix dominates, clearing the vacated slots so no pointer outlives
-// its pop. Returns the (possibly rebased) slice and head.
-func CompactQueue[T any](q []T, head int) ([]T, int) {
-	if head == 0 || head < len(q)-head || head < 32 {
-		return q, head
-	}
-	n := copy(q, q[head:])
-	var zero T
-	for i := n; i < len(q); i++ {
-		q[i] = zero
-	}
-	return q[:n], 0
+// Queue is a head-indexed FIFO — the queue shape the transports'
+// inboxes and the optimizer's waiting lists share. Pop advances a head
+// index instead of re-slicing, so the backing array keeps its capacity
+// across push/pop cycles and a steady stream recycles one array instead
+// of reallocating. Every vacated slot is cleared, so no pointer outlives
+// its pop, and the slice resets when the queue fully drains. Under a
+// sustained backlog that reset never fires, so pushes also slide the
+// live tail down once the dead prefix dominates: memory follows live
+// depth, not total throughput.
+//
+// The zero value is an empty queue. A Queue is not safe for concurrent
+// use; callers guard it with their own lock.
+type Queue[T any] struct {
+	items []T
+	head  int
 }
 
-// PushRun appends a whole run to a head-indexed FIFO after reclaiming
-// its consumed prefix, under the caller's lock — the producer half of
-// the batched run discipline, shared by the transports' inboxes. It
-// returns the (possibly rebased) slice and head.
-func PushRun[T any](q []T, head int, run []T) ([]T, int) {
-	q, head = CompactQueue(q, head)
-	return append(q, run...), head
+// Len returns the number of queued entries.
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+
+// Push appends v.
+func (q *Queue[T]) Push(v T) {
+	q.compact()
+	q.items = append(q.items, v)
 }
 
-// PopRun pops up to len(into) entries off a head-indexed FIFO into the
-// prefix of into, under the caller's lock — the batched counterpart of
-// the per-entry pop, shared by the transports' inboxes so the run
-// discipline (clear every vacated slot, reset the slice on full drain)
-// lives in one place. It returns the (possibly reset) slice, the new
-// head, and how many entries it wrote.
-func PopRun[T any](q []T, head int, into []T) ([]T, int, int) {
-	n := 0
+// PushRun appends a whole run in order.
+func (q *Queue[T]) PushRun(run []T) {
+	q.compact()
+	q.items = append(q.items, run...)
+}
+
+// Head returns the oldest entry without removing it, or the zero value
+// when the queue is empty.
+func (q *Queue[T]) Head() T {
+	if q.head == len(q.items) {
+		var zero T
+		return zero
+	}
+	return q.items[q.head]
+}
+
+// Pop removes and returns the oldest entry, or the zero value when the
+// queue is empty.
+func (q *Queue[T]) Pop() T {
 	var zero T
-	for n < len(into) && head < len(q) {
-		into[n] = q[head]
-		q[head] = zero // the consumers own them now; drop the aliases
-		head++
-		n++
+	if q.head == len(q.items) {
+		return zero
 	}
-	if head == len(q) {
-		q, head = q[:0], 0
+	v := q.items[q.head]
+	q.items[q.head] = zero // the consumer owns it now; drop the queue's alias
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
-	return q, head, n
+	return v
+}
+
+// PopRun pops up to len(into) entries, oldest first, into the prefix of
+// into and returns how many it wrote.
+func (q *Queue[T]) PopRun(into []T) int {
+	var zero T
+	n := copy(into, q.items[q.head:])
+	for i := q.head; i < q.head+n; i++ {
+		q.items[i] = zero
+	}
+	q.head += n
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return n
+}
+
+// Live returns the queued entries, oldest first, as a view into the
+// queue's storage. Callers may reorder entries in place — the
+// simulator's wire keeps its inbox sorted by arrival time this way —
+// but the view is only valid until the next Push, PushRun, Pop or
+// PopRun.
+func (q *Queue[T]) Live() []T { return q.items[q.head:] }
+
+// compact reclaims the consumed prefix once it dominates the slice,
+// clearing the vacated slots.
+func (q *Queue[T]) compact() {
+	if q.head == 0 || q.head < len(q.items)-q.head || q.head < 32 {
+		return
+	}
+	n := copy(q.items, q.items[q.head:])
+	clear(q.items[n:])
+	q.items, q.head = q.items[:n], 0
 }

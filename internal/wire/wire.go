@@ -157,15 +157,13 @@ type link struct {
 	free   time.Time // next instant the link can begin serializing
 }
 
-// inbox is the arrival queue of one node: a time-ordered list protected by
-// a spinlock plus a notification channel for blocking receivers. The
-// head index (rather than re-slicing pkts[1:]) keeps the backing
-// array's capacity across push/pop cycles, so steady traffic recycles
-// one array instead of reallocating per packet.
+// inbox is the arrival queue of one node: a list kept sorted by arrival
+// time, protected by a spinlock, plus a notification channel for
+// blocking receivers. Its order is arrival time, not FIFO, so pops gate
+// on the head's arrival instant.
 type inbox struct {
 	mu      sync2.SpinLock
-	pkts    []*Packet // kept sorted by arriveAt (append is nearly sorted)
-	head    int
+	pkts    sync2.Queue[*Packet] // sorted by arriveAt (push is nearly sorted)
 	notify  chan struct{}
 	dropped int
 }
@@ -176,16 +174,13 @@ func newInbox() *inbox {
 
 func (ib *inbox) push(p *Packet) {
 	ib.mu.Lock()
-	ib.pkts, ib.head = sync2.CompactQueue(ib.pkts, ib.head)
+	ib.pkts.Push(p)
 	// Insertion sort from the back: arrivals are almost always appended in
 	// order because links serialize, so this is O(1) amortized.
-	i := len(ib.pkts)
-	ib.pkts = append(ib.pkts, p)
-	for i > ib.head && ib.pkts[i-1].arriveAt.After(p.arriveAt) {
-		ib.pkts[i] = ib.pkts[i-1]
-		i--
+	live := ib.pkts.Live()
+	for i := len(live) - 1; i > 0 && live[i-1].arriveAt.After(p.arriveAt); i-- {
+		live[i], live[i-1] = live[i-1], p
 	}
-	ib.pkts[i] = p
 	ib.mu.Unlock()
 	select {
 	case ib.notify <- struct{}{}:
@@ -193,20 +188,21 @@ func (ib *inbox) push(p *Packet) {
 	}
 }
 
+// arrived reports whether the queue holds a packet whose arrival time
+// has passed. Caller holds ib.mu.
+func (ib *inbox) arrived(now time.Time) bool {
+	h := ib.pkts.Head()
+	return h != nil && !h.arriveAt.After(now)
+}
+
 // pop returns the earliest packet whose arrival time has passed, or nil.
 func (ib *inbox) pop(now time.Time) *Packet {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) || ib.pkts[ib.head].arriveAt.After(now) {
+	if !ib.arrived(now) {
 		return nil
 	}
-	p := ib.pkts[ib.head]
-	ib.pkts[ib.head] = nil // the receiver owns it now; drop the queue's alias
-	ib.head++
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
-	}
-	return p
+	return ib.pkts.Pop()
 }
 
 // popRun pops up to len(into) packets whose arrival time has passed, in
@@ -217,14 +213,9 @@ func (ib *inbox) popRun(now time.Time, into []*Packet) int {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
 	n := 0
-	for n < len(into) && ib.head < len(ib.pkts) && !ib.pkts[ib.head].arriveAt.After(now) {
-		into[n] = ib.pkts[ib.head]
-		ib.pkts[ib.head] = nil // the receiver owns it now; drop the queue's alias
-		ib.head++
+	for n < len(into) && ib.arrived(now) {
+		into[n] = ib.pkts.Pop()
 		n++
-	}
-	if ib.head == len(ib.pkts) {
-		ib.pkts, ib.head = ib.pkts[:0], 0
 	}
 	return n
 }
@@ -234,10 +225,11 @@ func (ib *inbox) popRun(now time.Time, into []*Packet) int {
 func (ib *inbox) earliest() (time.Time, bool) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	if ib.head == len(ib.pkts) {
+	h := ib.pkts.Head()
+	if h == nil {
 		return time.Time{}, false
 	}
-	return ib.pkts[ib.head].arriveAt, true
+	return h.arriveAt, true
 }
 
 // Fabric connects n nodes with a full mesh of directed links.

@@ -78,7 +78,9 @@ func WithMachine(sockets, coresPerSocket int) Option {
 }
 
 // WithStrategy selects the optimizer strategy: "fifo" (default),
-// "aggreg" (small-message aggregation) or "multirail".
+// "aggreg" (small-message aggregation) or "multirail" (rendezvous data
+// striped across weighted rails). Any other name panics when the world
+// is built.
 func WithStrategy(name string) Option {
 	return func(o *options) { o.cfg.Strategy = name }
 }
